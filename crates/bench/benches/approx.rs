@@ -7,14 +7,21 @@
 //! lazily and reuses them across queries via copy-on-write slabs), so
 //! the ids time steady-state serving, not first-touch construction.
 //!
+//! Two ids time pyramid maintenance instead: `pyramid_full_build`
+//! reduces one slab's pyramid from scratch, `pyramid_update_after_batch`
+//! is the lazy build of the next snapshot after a batch that wrote at
+//! most a third of that slab's layers — an incremental update of the
+//! previous pyramid.
+//!
 //! Alongside the wall-clock ids this bench verifies the certified error
 //! bound over a sweep of random boxes and budgets and appends the
 //! violation count to `$STKDE_BENCH_JSON` (as `approx/bound_violations`,
-//! offset by the guard's positivity floor). `bench_guard` enforces two
+//! offset by the guard's positivity floor). `bench_guard` enforces three
 //! in-run invariants over these records: the coarsest-level full-grid
-//! region must beat the exact fold by at least 8x, and the violation
-//! count must be zero. Both sides of each come from the same process on
-//! the same host, so the invariants are machine-independent.
+//! region must beat the exact fold by at least 8x, the violation count
+//! must be zero, and the incremental update must cost at most 0.6x the
+//! full build. Both sides of each come from the same process on the
+//! same host, so the invariants are machine-independent.
 
 use std::io::Write as _;
 use std::time::Duration;
@@ -22,7 +29,7 @@ use std::time::Duration;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use stkde_core::{CubeSnapshot, Problem, ShardedWindowStkde};
 use stkde_data::synth;
-use stkde_grid::{Bandwidth, Domain, GridDims, VoxelRange};
+use stkde_grid::{Bandwidth, Domain, GridDims, MipPyramid, VoxelRange};
 use stkde_kernels::{Epanechnikov, Tabulated};
 
 const SHARDS: usize = 4;
@@ -154,12 +161,67 @@ fn bench_approx(c: &mut Criterion) {
     group.bench_function("slice_approx_coarse", |b| {
         b.iter(|| black_box(snap.density_slice_approx(black_box(t_mid), 2.0, base_err)))
     });
+    bench_pyramid_maintenance(&mut group);
     group.finish();
 
     // In-run certified-bound verification (offset by 1e-9: the guard's
     // parser requires positive values; anything >= 1 is a violation).
     let violations = count_bound_violations(&snap, base_err);
     record_json("approx/bound_violations", violations as f64 + 1e-9);
+}
+
+/// Full pyramid build vs the incremental update after one batch, on the
+/// upper of two 48-layer slabs.
+fn bench_pyramid_maintenance(group: &mut criterion::BenchmarkGroup<'_>) {
+    /// Update batches; the group's sample size caps the timed calls.
+    const BATCHES: usize = 10;
+    let domain = Domain::from_dims(GridDims::new(64, 64, 96));
+    let kernel = Tabulated::new(Epanechnikov);
+    let mut cube = ShardedWindowStkde::<f64, _>::with_kernel(domain, bandwidth(), 1e9, 2, kernel);
+    let mut warm = synth::uniform(2_000, domain.extent(), 68).into_vec();
+    for p in &mut warm {
+        p.t *= 56.0 / 96.0;
+    }
+    warm.sort_by(|a, b| a.t.total_cmp(&b.t));
+    cube.push_batch(&warm);
+    let snap = cube.publish();
+    snap.ensure_pyramids();
+    let slab = &snap.shards()[1];
+    assert_eq!((slab.t0, slab.t1), (48, 96));
+    group.bench_function("pyramid_full_build", |b| {
+        b.iter(|| black_box(MipPyramid::build(black_box(&slab.grid))))
+    });
+    drop(snap);
+
+    // Batch k holds 64 events in t ∈ [56 + 3k, 59 + 3k): with ht = 4 it
+    // writes about 12 of the upper slab's 48 layers, and never the
+    // lower slab.
+    let mut batches = (0..BATCHES).map(|k| {
+        let mut events = synth::uniform(64, domain.extent(), 69 + k as u64).into_vec();
+        for p in &mut events {
+            p.t = 56.0 + 3.0 * k as f64 + p.t * 3.0 / 96.0;
+        }
+        events.sort_by(|a, b| a.t.total_cmp(&b.t));
+        events
+    });
+    group.bench_function("pyramid_update_after_batch", |b| {
+        b.iter_with_setup(
+            || {
+                let batch = batches.next().expect("one batch per sample");
+                cube.push_batch(&batch);
+                cube.publish()
+            },
+            |snap| {
+                let report = snap.ensure_pyramids();
+                assert_eq!(
+                    (report.built, report.incremental),
+                    (1, 1),
+                    "only the upper slab changed, and it updates incrementally"
+                );
+                report
+            },
+        )
+    });
 }
 
 criterion_group!(benches, bench_approx);

@@ -72,6 +72,8 @@ const SAT_SHARDED_P99_ID: &str = "saturation/sharded_read_p99_readers8";
 const APPROX_EXACT_ID: &str = "approx/region_exact_full";
 const APPROX_COARSE_ID: &str = "approx/region_approx_coarsest";
 const APPROX_VIOLATIONS_ID: &str = "approx/bound_violations";
+const APPROX_PYRAMID_FULL_ID: &str = "approx/pyramid_full_build";
+const APPROX_PYRAMID_UPDATE_ID: &str = "approx/pyramid_update_after_batch";
 const SPARSE_SEQ_ID: &str = "sparse/flu_scatter_seq";
 const SPARSE_PAR_ID: &str = "sparse/flu_scatter_par_t8";
 const SPARSE_ASSEMBLE_MORTON_ID: &str = "sparse/read_assemble_morton";
@@ -118,6 +120,12 @@ const APPROX_SPEEDUP_MIN: f64 = 8.0;
 /// bound is a proof obligation, not a quality target, so the budget is
 /// exactly zero.
 const APPROX_VIOLATIONS_BOUND: f64 = 1.0;
+/// The lazy pyramid build after a batch that wrote at most a third of a
+/// slab's layers updates the previous pyramid, re-reducing only the
+/// coarse T-planes over those layers; it must cost at most this share of
+/// a full build of the same slab. Above it, the update has stopped
+/// saving the work it exists to save.
+const APPROX_UPDATE_SHARE_MAX: f64 = 0.6;
 const DEFAULT_MAX_RATIO: f64 = 2.0;
 
 /// Extract `"key":<string>` and `"key":<number>` from one flat JSON line.
@@ -366,8 +374,9 @@ fn main() -> ExitCode {
     // argument: both records come from the same process). The pyramid
     // fast path must actually be fast — a coarsest-level full-grid
     // answer that only marginally beats the exact fold means the level
-    // walk or the per-cell fold has regressed — and the certified bound
-    // must hold on every random query the bench replayed.
+    // walk or the per-cell fold has regressed — the certified bound
+    // must hold on every random query the bench replayed, and the
+    // incremental pyramid update must stay well below a full build.
     if selected(APPROX_COARSE_ID) {
         if let (Some(&exact), Some(&coarse)) =
             (current.get(APPROX_EXACT_ID), current.get(APPROX_COARSE_ID))
@@ -394,6 +403,24 @@ fn main() -> ExitCode {
                 failures.push((
                     "approx certified-bound in-run invariant".to_string(),
                     violations,
+                ));
+            }
+        }
+    }
+    if selected(APPROX_PYRAMID_UPDATE_ID) {
+        if let (Some(&full), Some(&update)) = (
+            current.get(APPROX_PYRAMID_FULL_ID),
+            current.get(APPROX_PYRAMID_UPDATE_ID),
+        ) {
+            let share = update / full;
+            println!(
+                "approx invariant: pyramid update/full build = {share:.2} \
+                 (must be <= {APPROX_UPDATE_SHARE_MAX})"
+            );
+            if share > APPROX_UPDATE_SHARE_MAX {
+                failures.push((
+                    "approx pyramid-update in-run invariant".to_string(),
+                    share / APPROX_UPDATE_SHARE_MAX,
                 ));
             }
         }

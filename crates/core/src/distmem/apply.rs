@@ -6,6 +6,8 @@
 //! the same axis tables, chord clipping, and native-scalar `axpy` rows,
 //! with the T index shifted by the slab offset.
 
+#[cfg(feature = "obs")]
+use crate::kernel_apply::tally;
 use crate::kernel_apply::{scatter_rows, write_region, Scratch};
 use crate::problem::Problem;
 use stkde_data::Point;
@@ -32,6 +34,11 @@ pub(crate) fn apply_point_slab<S: Scalar, K: SpaceTimeKernel>(
         return;
     }
     scratch.prepare_sym(problem, kernel, p, r);
+    #[cfg(feature = "obs")]
+    {
+        tally::point(r);
+        tally::sym_scatter(&scratch.chords, scratch.planes.len());
+    }
     let shared = SharedGrid::new(grid);
     let Scratch {
         chords,

@@ -471,16 +471,16 @@ pub unsafe fn apply_point<S: Scalar, K: SpaceTimeKernel>(
 /// Handles are cached per call site, so steady state is one `Relaxed`
 /// `fetch_add` per counter per point.
 #[cfg(feature = "obs")]
-mod tally {
+pub(crate) mod tally {
     use super::{Chord, VoxelRange};
     use stkde_obs::names;
 
-    pub(super) fn point(r: VoxelRange) {
+    pub(crate) fn point(r: VoxelRange) {
         stkde_obs::counter!(names::SCATTER_POINTS).inc();
         stkde_obs::counter!(names::SCATTER_BOX_VOXELS).add(r.volume() as u64);
     }
 
-    pub(super) fn sym_scatter(chords: &[Chord], planes: usize) {
+    pub(crate) fn sym_scatter(chords: &[Chord], planes: usize) {
         let mut rows = 0u64;
         let mut chord_voxels = 0u64;
         for c in chords {

@@ -42,6 +42,7 @@ use crate::distmem::apply::apply_point_slab;
 use crate::distmem::slab;
 use crate::kernel_apply::{write_region, Scratch};
 use crate::problem::Problem;
+use parking_lot::Mutex;
 use rayon::prelude::*;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -80,6 +81,10 @@ struct WriterShard<S> {
     published_epoch: u64,
     /// Cylinder applications that actually wrote, in the last batch.
     last_batch_ops: u64,
+    /// Slab layers written since the last publish of this shard (one
+    /// flag per layer), or `None` after a rebuild or on a fresh shard,
+    /// when the next published slab carries no pyramid seed.
+    dirty: Option<Vec<bool>>,
 }
 
 impl<S: Scalar> WriterShard<S> {
@@ -94,6 +99,7 @@ impl<S: Scalar> WriterShard<S> {
             // slab, so a snapshot exists from generation 0.
             published_epoch: u64::MAX,
             last_batch_ops: 0,
+            dirty: None,
         }
     }
 
@@ -127,29 +133,120 @@ pub struct ShardPlanes<S> {
     /// whose epoch moved get a fresh `ShardPlanes` and re-reduce on the
     /// next approximate read.
     pyramid: OnceLock<Arc<MipPyramid>>,
+    /// An older pyramid of this slab plus the layers written since it
+    /// was built, consumed by the first [`pyramid`](Self::pyramid) call.
+    seed: Mutex<Option<PyramidSeed>>,
+}
+
+/// A pyramid of an earlier state of a slab, and the slab layers
+/// (`dirty[l]` for layer `l`) that may differ from that state.
+#[derive(Debug)]
+struct PyramidSeed {
+    pyramid: Arc<MipPyramid>,
+    dirty: Vec<bool>,
+}
+
+/// How a slab pyramid came to be (for the build metrics).
+#[derive(Debug, Clone, Copy)]
+struct PyramidBuild {
+    /// Updated from a seed rather than reduced from scratch.
+    incremental: bool,
+    /// Coarse T-planes re-reduced, summed over levels.
+    planes: usize,
 }
 
 impl<S: Scalar> ShardPlanes<S> {
-    fn new(t0: usize, t1: usize, epoch: u64, grid: Grid3<S>) -> Self {
+    fn new(t0: usize, t1: usize, epoch: u64, grid: Grid3<S>, seed: Option<PyramidSeed>) -> Self {
         Self {
             t0,
             t1,
             epoch,
             grid,
             pyramid: OnceLock::new(),
+            seed: Mutex::new(seed),
         }
     }
 
     /// The slab's mip pyramid, built (rayon-parallel) on first use and
-    /// cached for the lifetime of this copy-on-write slab.
+    /// cached for the lifetime of this copy-on-write slab. A slab
+    /// published with a seed (the previous slab's pyramid and the layers
+    /// written since) re-reduces only the coarse T-planes over those
+    /// layers, bit-identically to a full build; the seed is dropped once
+    /// used, so each slab holds at most one pyramid.
     pub fn pyramid(&self) -> &Arc<MipPyramid> {
         self.pyramid
-            .get_or_init(|| Arc::new(MipPyramid::build(&self.grid)))
+            .get_or_init(|| Arc::new(self.build_pyramid().0))
     }
 
     /// The pyramid if a previous read already built it.
     pub fn pyramid_if_built(&self) -> Option<&Arc<MipPyramid>> {
         self.pyramid.get()
+    }
+
+    fn build_pyramid(&self) -> (MipPyramid, PyramidBuild) {
+        // Taking the seed leaves none behind: once built, the slab holds
+        // its own pyramid and no older one.
+        let seed = self.seed.lock().take();
+        match seed {
+            Some(PyramidSeed { pyramid, dirty }) => {
+                // Unshared once every snapshot holding the older slab is
+                // gone (the common case): update it in place, no copy.
+                let mut p = Arc::try_unwrap(pyramid).unwrap_or_else(|shared| (*shared).clone());
+                let planes = p.update(&self.grid, &dirty);
+                (
+                    p,
+                    PyramidBuild {
+                        incremental: true,
+                        planes,
+                    },
+                )
+            }
+            None => {
+                let p = MipPyramid::build(&self.grid);
+                let planes = (1..=p.levels())
+                    .filter_map(|l| p.level(l))
+                    .map(|lvl| lvl.dims().gt)
+                    .sum();
+                (
+                    p,
+                    PyramidBuild {
+                        incremental: false,
+                        planes,
+                    },
+                )
+            }
+        }
+    }
+
+    /// The seed the next slab of this shard starts from: this slab's
+    /// pyramid if built, else this slab's own seed, with `written` (the
+    /// layers written since this slab was published) added to its dirty
+    /// layers.
+    fn successor_seed(&self, mut written: Vec<bool>) -> Option<PyramidSeed> {
+        if let Some(pyramid) = self.pyramid_if_built() {
+            return Some(PyramidSeed {
+                pyramid: Arc::clone(pyramid),
+                dirty: written,
+            });
+        }
+        let seed = self.seed.lock();
+        let older = seed.as_ref()?;
+        for (w, d) in written.iter_mut().zip(&older.dirty) {
+            *w |= *d;
+        }
+        Some(PyramidSeed {
+            pyramid: Arc::clone(&older.pyramid),
+            dirty: written,
+        })
+    }
+
+    /// `r` (global coordinates) restricted to this slab, in slab-local T.
+    fn local(&self, r: VoxelRange) -> VoxelRange {
+        VoxelRange {
+            t0: r.t0.max(self.t0) - self.t0,
+            t1: r.t1.min(self.t1) - self.t0,
+            ..r
+        }
     }
 }
 
@@ -197,6 +294,13 @@ pub struct ApproxSlice {
 pub struct PyramidBuildReport {
     /// Slab pyramids built by this call (0 = all were already resident).
     pub built: usize,
+    /// Of `built`, the pyramids updated from a seed instead of reduced
+    /// from scratch.
+    pub incremental: usize,
+    /// Coarse T-planes re-reduced by this call, summed over levels.
+    pub planes: usize,
+    /// Of `planes`, those re-reduced by incremental updates.
+    pub incremental_planes: usize,
     /// Wall seconds spent building.
     pub seconds: f64,
     /// Total resident pyramid bytes across all slabs after the call.
@@ -301,12 +405,7 @@ impl<S: Scalar> CubeSnapshot<S> {
             s.total = 0;
         } else {
             for plane in self.touched(r.t0, r.t1) {
-                let local = VoxelRange {
-                    t0: r.t0.max(plane.t0) - plane.t0,
-                    t1: r.t1.min(plane.t1) - plane.t0,
-                    ..r
-                };
-                stats::range_stats_into(&plane.grid, local, &mut s);
+                stats::range_stats_into(&plane.grid, plane.local(r), &mut s);
             }
         }
         if self.n == 0 {
@@ -350,22 +449,36 @@ impl<S: Scalar> CubeSnapshot<S> {
     /// Build any missing slab pyramids now (they are otherwise built
     /// lazily on first approximate read) and report what happened, for
     /// the serve tier's build-seconds histogram and resident-bytes gauge.
+    ///
+    /// Only builds this call ran are counted: a pyramid another reader
+    /// built meanwhile is resident, not built.
     pub fn ensure_pyramids(&self) -> PyramidBuildReport {
         let mut report = PyramidBuildReport {
             built: 0,
+            incremental: 0,
+            planes: 0,
+            incremental_planes: 0,
             seconds: 0.0,
             bytes: 0,
         };
         for plane in &self.shards {
-            if plane.pyramid_if_built().is_none() {
-                let start = Instant::now();
-                let p = plane.pyramid();
+            let start = Instant::now();
+            let mut ran = None;
+            let p = plane.pyramid.get_or_init(|| {
+                let (p, build) = plane.build_pyramid();
+                ran = Some(build);
+                Arc::new(p)
+            });
+            if let Some(build) = ran {
                 report.seconds += start.elapsed().as_secs_f64();
                 report.built += 1;
-                report.bytes += p.heap_bytes();
-            } else {
-                report.bytes += plane.pyramid().heap_bytes();
+                report.planes += build.planes;
+                if build.incremental {
+                    report.incremental += 1;
+                    report.incremental_planes += build.planes;
+                }
             }
+            report.bytes += p.heap_bytes();
         }
         report
     }
@@ -416,12 +529,28 @@ impl<S: Scalar> CubeSnapshot<S> {
         if max_err > 0.0 && self.n > 0 && !r.is_empty() {
             let budget = max_err * self.peak_density();
             let inv_n = 1.0 / self.n as f64;
-            let deepest = self
+            // Each touched slab with its pyramid and its part of the box.
+            let slabs: Vec<_> = self
                 .touched(r.t0, r.t1)
-                .map(|p| p.pyramid().levels())
-                .max()
-                .unwrap_or(0);
-            for level in (1..=deepest).rev() {
+                .map(|plane| (plane, plane.pyramid(), plane.local(r)))
+                .collect();
+            let deepest = slabs.iter().map(|(_, p, _)| p.levels()).max();
+            for level in (1..=deepest.unwrap_or(0)).rev() {
+                // Only partially covered cells contribute to `env`, and
+                // they lie on the box's boundary; the rounding slack can
+                // only add to the bound. A level whose boundary envelope
+                // alone misses the budget fails the full check too, so
+                // it is rejected without the full accumulation.
+                let env = slabs
+                    .iter()
+                    .map(|(_, p, local)| match level.min(p.levels()) {
+                        0 => 0.0,
+                        l => p.range_envelope(l, *local),
+                    })
+                    .fold(0.0, f64::max);
+                if env * inv_n + base_err > budget {
+                    continue;
+                }
                 let mut acc = ApproxStats {
                     sum: 0.0,
                     max: f64::NEG_INFINITY,
@@ -432,13 +561,7 @@ impl<S: Scalar> CubeSnapshot<S> {
                     scale: 0.0,
                     cells: 0,
                 };
-                for plane in self.touched(r.t0, r.t1) {
-                    let local = VoxelRange {
-                        t0: r.t0.max(plane.t0) - plane.t0,
-                        t1: r.t1.min(plane.t1) - plane.t0,
-                        ..r
-                    };
-                    let p = plane.pyramid();
+                for &(plane, p, local) in &slabs {
                     // A slab shallower than the walk serves from its own
                     // coarsest level; a one-voxel slab is served exactly.
                     let slab_level = level.min(p.levels());
@@ -771,8 +894,12 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
             let mut ops = 0u64;
             for (problem, batch) in [(&remove, removals), (&insert, inserts)] {
                 for p in batch {
-                    if write_region(problem, p, clip).is_empty() {
+                    let written = write_region(problem, p, clip);
+                    if written.is_empty() {
                         continue;
+                    }
+                    if let Some(dirty) = &mut shard.dirty {
+                        dirty[written.t0 - shard.t0..written.t1 - shard.t0].fill(true);
                     }
                     apply_point_slab(
                         &mut shard.grid,
@@ -917,6 +1044,7 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
                 );
             }
             shard.last_batch_ops = 0;
+            shard.dirty = None;
         });
     }
 
@@ -936,6 +1064,13 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
     /// slabs whose epoch changed since the last publish are cloned,
     /// untouched slabs share their previous `Arc`. One pointer swap of
     /// the returned `Arc` hands readers a consistent whole-cube view.
+    ///
+    /// A cloned slab is seeded with the outgoing slab's pyramid (or, if
+    /// no read built that one, the outgoing slab's own seed) and the
+    /// layers written since, so its pyramid is an incremental update.
+    /// The first publish and the first after a
+    /// [`rebuild`](Self::rebuild) or [`reshard`](Self::reshard) carry no
+    /// seed: those slabs build their pyramids from scratch.
     pub fn publish(&mut self) -> Arc<CubeSnapshot<S>> {
         // Reshard (or first publish) invalidates the published vector.
         if self.published.len() != self.shards.len() {
@@ -944,11 +1079,16 @@ impl<S: Scalar, K: SpaceTimeKernel> ShardedWindowStkde<S, K> {
         for (i, shard) in self.shards.iter_mut().enumerate() {
             let current = self.published.get(i).map(|p| p.epoch);
             if current != Some(shard.epoch) {
+                let written = shard.dirty.replace(vec![false; shard.t1 - shard.t0]);
+                let seed = written
+                    .zip(self.published.get(i))
+                    .and_then(|(written, old)| old.successor_seed(written));
                 let plane = Arc::new(ShardPlanes::new(
                     shard.t0,
                     shard.t1,
                     shard.epoch,
                     shard.grid.clone(),
+                    seed,
                 ));
                 if i < self.published.len() {
                     self.published[i] = plane;
@@ -1276,6 +1416,130 @@ mod tests {
         // Exact peak matches the pyramid-reported peak.
         let full = b.density_range(VoxelRange::full(domain().dims()));
         assert_eq!(b.peak_density(), full.max.abs().max(full.min.abs()));
+    }
+
+    /// Every cell's `(sum, max, min)` bit patterns, level by level.
+    fn pyramid_bits(p: &MipPyramid) -> Vec<[u64; 3]> {
+        (1..=p.levels())
+            .filter_map(|l| p.level(l))
+            .flat_map(|lvl| {
+                lvl.dims()
+                    .iter()
+                    .map(move |(x, y, t)| *lvl.cell(x, y, t))
+                    .collect::<Vec<_>>()
+            })
+            .map(|c| [c.sum.to_bits(), c.max.to_bits(), c.min.to_bits()])
+            .collect()
+    }
+
+    #[test]
+    fn lazy_pyramids_equal_full_builds_across_seed_chains() {
+        let points = stream(160, 47);
+        let mut cube = ShardedWindowStkde::<f64>::new(domain(), bw(), 3.0, 3);
+        let mut incremental = 0;
+        for (step, batch) in points.chunks(9).enumerate() {
+            cube.push_batch(batch);
+            match step {
+                6 => cube.rebuild(),
+                11 => {
+                    cube.reshard(5);
+                }
+                _ => {}
+            }
+            let snap = cube.publish();
+            // Read pyramids only every third publish, so seeds chain
+            // across the publishes in between.
+            if step % 3 != 2 {
+                continue;
+            }
+            let report = snap.ensure_pyramids();
+            incremental += report.incremental;
+            if step == 8 || step == 11 {
+                // A publish right after a rebuild or reshard has no seed.
+                assert_eq!((report.built, report.incremental), (snap.shards().len(), 0));
+            }
+            for plane in snap.shards() {
+                assert!(plane.seed.lock().is_none(), "a build must drop its seed");
+                assert_eq!(
+                    pyramid_bits(plane.pyramid()),
+                    pyramid_bits(&MipPyramid::build(&plane.grid)),
+                    "step {step}, slab {}..{}",
+                    plane.t0,
+                    plane.t1
+                );
+            }
+        }
+        assert!(incremental > 0, "some pyramids must have been updated");
+    }
+
+    #[test]
+    fn approx_walk_serves_the_coarsest_level_whose_bound_fits() {
+        let points = stream(120, 48);
+        let mut cube = ShardedWindowStkde::<f64>::new(domain(), bw(), 6.0, 4);
+        cube.push_batch(&points);
+        let snap = cube.publish();
+        let dims = domain().dims();
+        let inv_n = 1.0 / snap.len() as f64;
+        let base_err = 1e-6;
+        let mut rng = 0x5EED_u64;
+        let mut next = |n: usize| {
+            rng = rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (rng >> 33) as usize % n
+        };
+        let mut served = [0usize; 2];
+        for _ in 0..300 {
+            let mut axis = |n: usize| {
+                let (a, b) = (next(n), next(n));
+                (a.min(b), a.max(b) + 1)
+            };
+            let ((x0, x1), (y0, y1), (t0, t1)) = (axis(dims.gx), axis(dims.gy), axis(dims.gt));
+            let r = VoxelRange {
+                x0,
+                x1,
+                y0,
+                y1,
+                t0,
+                t1,
+            };
+            let max_err = [0.01, 0.05, 0.2, 1.0][next(4)];
+            let budget = max_err * snap.peak_density();
+            // The spec: walk down from the deepest level, and serve the
+            // first whose full per-slab `range_estimate` bound fits.
+            let deepest = snap.touched(t0, t1).map(|p| p.pyramid().levels()).max();
+            let expected = (1..=deepest.unwrap_or(0)).rev().find_map(|level| {
+                let mut acc = ApproxStats {
+                    sum: 0.0,
+                    max: f64::NEG_INFINITY,
+                    min: f64::INFINITY,
+                    nonzero_upper: 0,
+                    total: 0,
+                    env: 0.0,
+                    scale: 0.0,
+                    cells: 0,
+                };
+                for plane in snap.touched(t0, t1) {
+                    let a = plane.pyramid().range_estimate(level, plane.local(r));
+                    acc.total += a.total;
+                    acc.env = acc.env.max(a.env);
+                    acc.scale = acc.scale.max(a.scale);
+                }
+                let bound = (acc.env + acc.rounding_slack()) * inv_n + base_err;
+                (bound <= budget).then_some((level, bound))
+            });
+            let a = snap.density_range_approx(r, max_err, base_err);
+            match expected {
+                Some((level, bound)) => {
+                    assert_eq!(a.level, level);
+                    assert_eq!(a.error_bound.to_bits(), bound.to_bits());
+                }
+                None => {
+                    assert_eq!(a.level, 0);
+                    assert_eq!(a.stats, snap.density_range(r));
+                }
+            }
+            served[usize::from(a.level > 0)] += 1;
+        }
+        assert!(served[0] > 0 && served[1] > 0, "both outcomes: {served:?}");
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //!
 //! The reduction is rayon-parallel over coarse T-planes; level ℓ is built
 //! from level ℓ−1 so the whole pyramid costs a geometric series over the
-//! base sweep (< 1/7 of the base volume in cells).
+//! base sweep (< 1/7 of the base volume in cells). After writes confined
+//! to a few base T-layers, [`MipPyramid::update`] re-reduces only the
+//! coarse T-planes above them; a full build is the all-dirty update.
 
 use crate::dims::GridDims;
 use crate::grid3::Grid3;
@@ -194,36 +196,67 @@ pub struct MipPyramid {
 }
 
 impl MipPyramid {
-    /// Build the full pyramid (levels `1..=L` until a `1×1×1` root) with a
-    /// rayon-parallel reduction per level.
+    /// Build the full pyramid (levels `1..=L` until a `1×1×1` root) — the
+    /// all-dirty case of [`update`](Self::update).
     ///
     /// A `1×1×1` base grid yields an empty pyramid (`levels() == 0`).
     pub fn build<S: Scalar>(grid: &Grid3<S>) -> Self {
         let base = grid.dims();
         let mut levels: Vec<PyramidLevel> = Vec::new();
-        let mut child_dims = base;
-        let mut level = 0u32;
-        while child_dims.volume() > 1 {
-            level += 1;
-            let dims = halved(child_dims);
-            let cells = match levels.last() {
-                None => reduce_from(dims, child_dims, |x, y, t| {
-                    let v = grid.get(x, y, t).to_f64();
+        let mut dims = base;
+        while dims.volume() > 1 {
+            dims = halved(dims);
+            levels.push(PyramidLevel {
+                level: levels.len() as u32 + 1,
+                dims,
+                cells: vec![CellStats::EMPTY; dims.volume()],
+            });
+        }
+        let mut pyramid = Self { base, levels };
+        pyramid.update(grid, &vec![true; base.gt]);
+        pyramid
+    }
+
+    /// Bring the pyramid up to date with `grid` after writes confined to
+    /// the base T-layers marked in `dirty` (`dirty[t]` for layer `t`):
+    /// level by level, re-reduce only the coarse T-planes that cover a
+    /// dirty layer, in parallel over planes. Returns the coarse T-planes
+    /// re-reduced, summed over levels.
+    ///
+    /// Every cell is recomputed from scratch in the same (t, y, x) child
+    /// order as a full build, so the result is bit-identical to
+    /// [`build`](Self::build) of `grid` — provided the pyramid was built
+    /// from a grid that differs from `grid` only on dirty layers.
+    ///
+    /// # Panics
+    /// Panics if `grid` or `dirty` does not match the base dimensions.
+    pub fn update<S: Scalar>(&mut self, grid: &Grid3<S>, dirty: &[bool]) -> usize {
+        assert_eq!(grid.dims(), self.base, "pyramid base dimensions changed");
+        assert_eq!(dirty.len(), self.base.gt, "one dirty flag per base layer");
+        let mut dirty = dirty.to_vec();
+        let mut child = self.base;
+        let mut planes = 0;
+        for i in 0..self.levels.len() {
+            let (finer, rest) = self.levels.split_at_mut(i);
+            let lvl = &mut rest[0];
+            dirty = (0..lvl.dims.gt)
+                .map(|ct| dirty[2 * ct] || dirty.get(2 * ct + 1) == Some(&true))
+                .collect();
+            planes += dirty.iter().filter(|&&d| d).count();
+            match finer.last() {
+                None => reduce_planes(lvl, child, grid.as_slice(), &dirty, |v: &S| {
+                    let v = v.to_f64();
                     CellStats {
                         sum: v,
                         max: v,
                         min: v,
                     }
                 }),
-                Some(prev) => {
-                    let (pc, pd) = (&prev.cells, prev.dims);
-                    reduce_from(dims, child_dims, |x, y, t| pc[pd.idx(x, y, t)])
-                }
-            };
-            levels.push(PyramidLevel { level, dims, cells });
-            child_dims = dims;
+                Some(prev) => reduce_planes(lvl, child, &prev.cells, &dirty, |c: &CellStats| *c),
+            }
+            child = lvl.dims;
         }
-        Self { base, levels }
+        planes
     }
 
     /// Base grid dimensions the pyramid was built from.
@@ -315,6 +348,56 @@ impl MipPyramid {
         acc
     }
 
+    /// The [`ApproxStats::env`] that [`range_estimate`](Self::range_estimate)
+    /// reports for `r` at level `l`, found by visiting only the cells on
+    /// the box's unaligned faces — the only cells a box covers partially.
+    ///
+    /// A cell-box face is partial when `r` starts (ends) inside its first
+    /// (last) cell along that axis; cells shared by two faces are visited
+    /// twice, which a max ignores. Same contract as `range_estimate`.
+    pub fn range_envelope(&self, l: usize, r: VoxelRange) -> f64 {
+        let lvl = self.level(l).expect("pyramid level out of range");
+        if r.is_empty() {
+            return 0.0;
+        }
+        let s = l as u32;
+        let mut env = 0.0f64;
+        let mut visit = |(cx0, cx1): (usize, usize), (cy0, cy1), (ct0, ct1)| {
+            for ct in ct0..ct1 {
+                for cy in cy0..cy1 {
+                    for cx in cx0..cx1 {
+                        let count = lvl.cell_base_range(self.base, cx, cy, ct).volume();
+                        env = env.max(lvl.cell(cx, cy, ct).envelope(count));
+                    }
+                }
+            }
+        };
+        let span = |a0: usize, a1: usize| (a0 >> s, ((a1 - 1) >> s) + 1);
+        let (x, y, t) = (span(r.x0, r.x1), span(r.y0, r.y1), span(r.t0, r.t1));
+        // A box end is partial when it falls inside a cell: off the cell
+        // grid and short of the (clipped) base extent.
+        let partial = |a: usize, n: usize| a & ((1 << s) - 1) != 0 && a < n;
+        if partial(r.x0, self.base.gx) {
+            visit((x.0, x.0 + 1), y, t);
+        }
+        if partial(r.x1, self.base.gx) {
+            visit((x.1 - 1, x.1), y, t);
+        }
+        if partial(r.y0, self.base.gy) {
+            visit(x, (y.0, y.0 + 1), t);
+        }
+        if partial(r.y1, self.base.gy) {
+            visit(x, (y.1 - 1, y.1), t);
+        }
+        if partial(r.t0, self.base.gt) {
+            visit(x, y, (t.0, t.0 + 1));
+        }
+        if partial(r.t1, self.base.gt) {
+            visit(x, y, (t.1 - 1, t.1));
+        }
+        env
+    }
+
     /// The downsampled plane covering base time layer `t` at level `l`.
     ///
     /// Every base voxel `(x, y, t)` maps to the cell at
@@ -353,37 +436,38 @@ fn halved(d: GridDims) -> GridDims {
     GridDims::new(d.gx.div_ceil(2), d.gy.div_ceil(2), d.gt.div_ceil(2))
 }
 
-/// Reduce a child layer (grid voxels or a finer level) into coarse cells,
-/// parallel over coarse T-planes.
-fn reduce_from(
-    dims: GridDims,
+/// Re-reduce the T-planes of `lvl` marked in `dirty` from its child layer
+/// (base grid voxels or the finer level's cells, `child` dims, X-fastest),
+/// in parallel over planes. Child rows are read as slices; each cell
+/// absorbs its children in (t, y, x) order, whatever planes are redone.
+fn reduce_planes<T: Sync>(
+    lvl: &mut PyramidLevel,
     child: GridDims,
-    fetch: impl Fn(usize, usize, usize) -> CellStats + Sync,
-) -> Vec<CellStats> {
-    let plane = dims.gx * dims.gy;
-    let mut cells = vec![CellStats::EMPTY; dims.volume()];
-    cells
-        .par_chunks_mut(plane)
+    data: &[T],
+    dirty: &[bool],
+    stats: impl Fn(&T) -> CellStats + Sync,
+) {
+    let dims = lvl.dims;
+    let planes: Vec<(usize, &mut [CellStats])> = lvl
+        .cells
+        .chunks_mut(dims.gx * dims.gy)
         .enumerate()
-        .for_each(|(ct, out)| {
-            let (t0, t1) = (ct * 2, (ct * 2 + 2).min(child.gt));
-            for cy in 0..dims.gy {
-                let (y0, y1) = (cy * 2, (cy * 2 + 2).min(child.gy));
-                for cx in 0..dims.gx {
-                    let (x0, x1) = (cx * 2, (cx * 2 + 2).min(child.gx));
-                    let mut acc = CellStats::EMPTY;
-                    for t in t0..t1 {
-                        for y in y0..y1 {
-                            for x in x0..x1 {
-                                acc.absorb(fetch(x, y, t));
-                            }
-                        }
+        .filter(|(ct, _)| dirty[*ct])
+        .collect();
+    planes.into_par_iter().for_each(|(ct, out)| {
+        out.fill(CellStats::EMPTY);
+        for t in ct * 2..(ct * 2 + 2).min(child.gt) {
+            for y in 0..child.gy {
+                let row = &data[child.idx(0, y, t)..][..child.gx];
+                let out_row = &mut out[(y / 2) * dims.gx..][..dims.gx];
+                for (acc, pair) in out_row.iter_mut().zip(row.chunks(2)) {
+                    for v in pair {
+                        acc.absorb(stats(v));
                     }
-                    out[cy * dims.gx + cx] = acc;
                 }
             }
-        });
-    cells
+        }
+    });
 }
 
 #[cfg(test)]
@@ -498,6 +582,30 @@ mod tests {
         assert!(a.max.is_infinite() && a.max < 0.0);
     }
 
+    /// Every cell's `(sum, max, min)` bit patterns, level by level.
+    fn cell_bits(p: &MipPyramid) -> Vec<[u64; 3]> {
+        (1..=p.levels())
+            .flat_map(|l| p.level(l).unwrap().cells.iter())
+            .map(|c| [c.sum.to_bits(), c.max.to_bits(), c.min.to_bits()])
+            .collect()
+    }
+
+    fn hashed(i: usize, seed: u64) -> f64 {
+        let h = (i as u64)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(seed);
+        ((h >> 32) as i64 % 1000) as f64 / 10.0
+    }
+
+    #[test]
+    fn update_without_dirty_layers_is_a_no_op() {
+        let g = filled_grid(GridDims::new(9, 7, 5), |i| hashed(i, 3));
+        let mut p = MipPyramid::build(&g);
+        let before = cell_bits(&p);
+        assert_eq!(p.update(&g, &[false; 5]), 0);
+        assert_eq!(cell_bits(&p), before);
+    }
+
     proptest! {
         #[test]
         fn cells_match_brute_force(
@@ -557,6 +665,63 @@ mod tests {
                     "level {} sum: approx {} exact {} env {}", l, a.sum, s.sum, a.env);
                 prop_assert!(a.nonzero_upper >= s.nonzero);
                 prop_assert!(a.nonzero_upper <= a.total);
+            }
+        }
+
+        #[test]
+        fn update_over_dirty_layers_equals_build(
+            gx in 1usize..20, gy in 1usize..20, gt in 1usize..12,
+            mask in 0u32..4096, seed in 0u64..1000
+        ) {
+            let dims = GridDims::new(gx, gy, gt);
+            let dirty: Vec<bool> = (0..gt).map(|t| mask >> t & 1 == 1).collect();
+            let before = filled_grid(dims, |i| hashed(i, seed));
+            // Change every voxel of the dirty layers, nothing else.
+            let after = filled_grid(dims, |i| {
+                if dirty[i / (gx * gy)] { hashed(i, seed + 1) - 7.5 } else { hashed(i, seed) }
+            });
+            let mut p = MipPyramid::build(&before);
+            let planes = p.update(&after, &dirty);
+            let rebuilt = MipPyramid::build(&after);
+            prop_assert_eq!(cell_bits(&p), cell_bits(&rebuilt));
+            // The re-reduced planes are exactly those over a dirty layer.
+            let expected: usize = (1..=p.levels())
+                .map(|l| {
+                    let lvl = p.level(l).unwrap();
+                    (0..lvl.dims().gt)
+                        .filter(|&ct| {
+                            let r = lvl.cell_base_range(dims, 0, 0, ct);
+                            dirty[r.t0..r.t1].contains(&true)
+                        })
+                        .count()
+                })
+                .sum();
+            prop_assert_eq!(planes, expected);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// One hot voxel dominates every envelope it is part of, so the
+        /// answer depends on whether its cell is partially covered —
+        /// on which face, if any, it lies.
+        #[test]
+        fn range_envelope_matches_range_estimate(
+            gx in 1usize..24, gy in 1usize..24, gt in 1usize..10,
+            x0 in 0usize..24, xw in 1usize..24,
+            y0 in 0usize..24, yw in 1usize..24,
+            t0 in 0usize..10, tw in 1usize..10,
+            hot in 0usize..5760, seed in 0u64..500
+        ) {
+            let dims = GridDims::new(gx, gy, gt);
+            let hot = hot % dims.volume();
+            let g = filled_grid(dims, |i| if i == hot { 1e3 } else { hashed(i, seed) });
+            let p = MipPyramid::build(&g);
+            let r = VoxelRange { x0, x1: x0 + xw, y0, y1: y0 + yw, t0, t1: t0 + tw }
+                .clipped(dims);
+            for l in 1..=p.levels() {
+                prop_assert_eq!(p.range_envelope(l, r), p.range_estimate(l, r).env);
             }
         }
     }

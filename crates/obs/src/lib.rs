@@ -202,6 +202,12 @@ pub mod names {
     pub const APPROX_PYRAMID_BUILD_SECONDS: &str = "stkde_approx_pyramid_build_seconds";
     /// Resident bytes of slab mip pyramids in the published snapshot.
     pub const APPROX_PYRAMID_BYTES: &str = "stkde_approx_pyramid_bytes";
+    /// Slab mip-pyramid builds, by `kind` (`full` = reduced from scratch,
+    /// `incremental` = updated from the previous slab's pyramid).
+    pub const APPROX_PYRAMID_BUILDS: &str = "stkde_approx_pyramid_builds_total";
+    /// Coarse pyramid T-planes re-reduced by those builds (summed over
+    /// levels), by `kind`.
+    pub const APPROX_PYRAMID_PLANES: &str = "stkde_approx_pyramid_planes_total";
 
     /// Messages sent, labeled by `rank`.
     pub const COMM_MSGS_SENT: &str = "stkde_comm_msgs_sent_total";

@@ -30,7 +30,9 @@ flags (defaults in parentheses):
   --port P           TCP port; 0 picks an ephemeral one (7171)
   --threads N        HTTP worker threads (available parallelism)
   --cache N          LRU capacity for region/slice responses (64)
-  --batch-cap N      max events coalesced per write-lock acquisition (1024)
+  --batch-cap N      max events coalesced per write-lock acquisition; a
+                     queued message that would exceed it opens the next
+                     batch, one larger message is applied whole (1024)
   --shards N         temporal-slab shards in the serve path; clamped to
                      the T axis (0 = $STKDE_SHARDS, else 4)
   --rebuild-every N  drift-correcting rebuild cadence in update pairs
@@ -68,7 +70,8 @@ pub struct ServerConfig {
     pub threads: usize,
     /// LRU capacity for region/slice responses.
     pub cache: usize,
-    /// Max events coalesced per write-lock acquisition.
+    /// Max events coalesced per write-lock acquisition (see
+    /// `ServiceConfig::ingest_batch_cap`).
     pub batch_cap: usize,
     /// Temporal-slab shards (`0` = `$STKDE_SHARDS`, else 4).
     pub shards: usize,

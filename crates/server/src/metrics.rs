@@ -63,6 +63,14 @@ pub(crate) struct ServerMetrics {
     pub pyramid_build_seconds: Histogram,
     /// Resident pyramid bytes in the published snapshot.
     pub pyramid_bytes: Gauge,
+    /// Slab pyramids reduced from scratch.
+    pub pyramid_builds_full: Counter,
+    /// Slab pyramids updated from the previous slab's pyramid.
+    pub pyramid_builds_incremental: Counter,
+    /// Coarse T-planes re-reduced by full builds.
+    pub pyramid_planes_full: Counter,
+    /// Coarse T-planes re-reduced by incremental updates.
+    pub pyramid_planes_incremental: Counter,
     /// Seconds since service start.
     pub uptime: Gauge,
 }
@@ -101,6 +109,12 @@ impl ServerMetrics {
             cache_entries: g.gauge(names::CACHE_ENTRIES, &[]),
             pyramid_build_seconds: g.histogram(names::APPROX_PYRAMID_BUILD_SECONDS, &[]),
             pyramid_bytes: g.gauge(names::APPROX_PYRAMID_BYTES, &[]),
+            pyramid_builds_full: g.counter(names::APPROX_PYRAMID_BUILDS, &[("kind", "full")]),
+            pyramid_builds_incremental: g
+                .counter(names::APPROX_PYRAMID_BUILDS, &[("kind", "incremental")]),
+            pyramid_planes_full: g.counter(names::APPROX_PYRAMID_PLANES, &[("kind", "full")]),
+            pyramid_planes_incremental: g
+                .counter(names::APPROX_PYRAMID_PLANES, &[("kind", "incremental")]),
             uptime: g.gauge(names::UPTIME_SECONDS, &[]),
         }
     }
@@ -358,6 +372,16 @@ pub(crate) fn describe_catalog() {
             names::APPROX_PYRAMID_BYTES,
             ga,
             "Resident mip-pyramid bytes in the published snapshot.",
+        ),
+        (
+            names::APPROX_PYRAMID_BUILDS,
+            c,
+            "Slab mip-pyramid builds, by kind (full = from scratch, incremental = from the previous slab's pyramid).",
+        ),
+        (
+            names::APPROX_PYRAMID_PLANES,
+            c,
+            "Coarse mip-pyramid T-planes re-reduced by slab pyramid builds, by kind.",
         ),
         (names::COMM_MSGS_SENT, c, "Messages sent by rank."),
         (names::COMM_BYTES_SENT, c, "Payload bytes sent by rank."),

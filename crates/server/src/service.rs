@@ -142,7 +142,10 @@ pub struct ServiceConfig {
     pub auto_rebuild_every: Option<usize>,
     /// LRU capacity for region/slice responses (`0` disables caching).
     pub cache_capacity: usize,
-    /// Largest coalesced batch the writer applies per lock acquisition.
+    /// Most events the writer coalesces into one batch (one lock
+    /// acquisition): queued messages are merged while the total stays
+    /// within the cap, and a message that would exceed it opens the next
+    /// batch. A single message larger than the cap is applied whole.
     pub ingest_batch_cap: usize,
     /// Temporal-slab shard count (`0` = the `STKDE_SHARDS` environment
     /// variable, else 4; always clamped to the grid's T extent).
@@ -320,13 +323,22 @@ impl DensityService {
     }
 
     /// Record a pyramid build into the obs registry: build seconds are
-    /// observed only when slabs were actually (re-)reduced, the resident
-    /// bytes gauge always tracks the published snapshot.
+    /// observed only when slabs were actually (re-)reduced, builds and
+    /// re-reduced T-planes count by kind (full / incremental), the
+    /// resident bytes gauge always tracks the published snapshot.
     pub(crate) fn note_pyramid_build(&self, report: &PyramidBuildReport) {
+        let m = &self.metrics;
         if report.built > 0 {
-            self.metrics.pyramid_build_seconds.observe(report.seconds);
+            m.pyramid_build_seconds.observe(report.seconds);
+            m.pyramid_builds_full
+                .add((report.built - report.incremental) as u64);
+            m.pyramid_builds_incremental.add(report.incremental as u64);
+            m.pyramid_planes_full
+                .add((report.planes - report.incremental_planes) as u64);
+            m.pyramid_planes_incremental
+                .add(report.incremental_planes as u64);
         }
-        self.metrics.pyramid_bytes.set(report.bytes as f64);
+        m.pyramid_bytes.set(report.bytes as f64);
     }
 
     /// Count one approximate-path answer served from pyramid `level`
@@ -575,22 +587,42 @@ impl std::fmt::Display for ShutdownError {
 
 impl std::error::Error for ShutdownError {}
 
-fn writer_loop(rx: &Receiver<Vec<Point>>, state: &CubeState, m: ServerMetrics, batch_cap: usize) {
-    while let Ok(first) = rx.recv() {
-        let _span = stkde_obs::span("ingest_batch");
-        let mut batch = first;
-        let mut sends = 1u64;
-        // Coalesce: drain whatever else is already queued, up to the cap,
-        // so the write lock is taken once per burst instead of per event.
-        while batch.len() < batch_cap {
-            match rx.try_recv() {
-                Ok(mut more) => {
-                    sends += 1;
-                    batch.append(&mut more);
-                }
-                Err(TryRecvError::Empty | TryRecvError::Disconnected) => break,
+/// The writer's next batch and the channel messages it merges, or `None`
+/// once the channel is closed and drained. Coalesces whatever is already
+/// queued, so the write lock is taken once per burst instead of per
+/// message, but never past `cap` events: a message that would take the
+/// batch past the cap is held in `held` and opens the next batch. A
+/// single message larger than the cap is still applied whole.
+fn next_batch(
+    rx: &Receiver<Vec<Point>>,
+    held: &mut Option<Vec<Point>>,
+    cap: usize,
+) -> Option<(Vec<Point>, u64)> {
+    let mut batch = match held.take() {
+        Some(batch) => batch,
+        None => rx.recv().ok()?,
+    };
+    let mut sends = 1u64;
+    while batch.len() < cap {
+        match rx.try_recv() {
+            Ok(more) if batch.len() + more.len() > cap => {
+                *held = Some(more);
+                break;
             }
+            Ok(mut more) => {
+                sends += 1;
+                batch.append(&mut more);
+            }
+            Err(TryRecvError::Empty | TryRecvError::Disconnected) => break,
         }
+    }
+    Some((batch, sends))
+}
+
+fn writer_loop(rx: &Receiver<Vec<Point>>, state: &CubeState, m: ServerMetrics, batch_cap: usize) {
+    let mut held = None;
+    while let Some((mut batch, sends)) = next_batch(rx, &mut held, batch_cap) {
+        let _span = stkde_obs::span("ingest_batch");
         batch.sort_by(|a, b| a.t.total_cmp(&b.t));
 
         let apply_start = Instant::now();
@@ -664,6 +696,44 @@ mod tests {
     // binary. Tests assert on per-service quantities (drain, deltas,
     // stats keys whose gauges are service-scoped), never on absolute
     // global counter values.
+
+    #[test]
+    fn coalesced_batches_never_exceed_the_cap() {
+        let cap = 1024;
+        let (tx, rx) = mpsc::channel::<Vec<Point>>();
+        // Bursts that straddle the cap, one message over it, and sizes
+        // that land on it exactly.
+        let sizes = [300, 300, 300, 200, 1500, 10, 1000, 24, 1024, 512, 513, 1];
+        let mut next_t = 0.0;
+        for &n in &sizes {
+            let msg = (0..n)
+                .map(|_| {
+                    next_t += 1.0;
+                    Point::new(0.0, 0.0, next_t)
+                })
+                .collect();
+            tx.send(msg).unwrap();
+        }
+        drop(tx);
+        let mut held = None;
+        let mut applied = Vec::new();
+        let mut batches = Vec::new();
+        while let Some((batch, sends)) = next_batch(&rx, &mut held, cap) {
+            assert!(
+                batch.len() <= cap || sends == 1,
+                "batch of {} events from {sends} messages exceeds the cap",
+                batch.len()
+            );
+            batches.push(batch.len());
+            applied.extend(batch.iter().map(|p| p.t));
+        }
+        assert_eq!(batches, [900, 200, 1500, 1010, 24, 1024, 512, 514]);
+        // Nothing lost, nothing reordered.
+        let expected: Vec<f64> = (1..=sizes.iter().sum::<usize>())
+            .map(|t| t as f64)
+            .collect();
+        assert_eq!(applied, expected);
+    }
 
     #[test]
     fn enqueue_applies_and_generation_advances() {

@@ -385,9 +385,34 @@ fn metrics_endpoint_covers_every_family_on_the_live_daemon() {
     let _serial = serial();
     let server = start_server(1e6);
     let client = Client::new(server.addr());
+    // Scatter counters are process-global: measure this test's traffic
+    // as a difference (every test in this binary holds the serial lock).
+    let scatter_totals = |client: &Client| {
+        let (_, text) = client.get_text("/metrics").unwrap();
+        let samples = stkde_obs::scrape::parse_text(&text);
+        let total = |name: &str| -> f64 {
+            samples
+                .iter()
+                .filter(|s| s.name == name)
+                .map(|s| s.value)
+                .sum()
+        };
+        (
+            total("stkde_scatter_points_total"),
+            total("stkde_scatter_voxels_written_total"),
+        )
+    };
+    let (points_before, voxels_before) = scatter_totals(&client);
     let points = stream(40, 74);
-    post_events(&client, &points);
-    server.service().wait_drained();
+    // Two batches with an approximate read after each: the second read
+    // updates the pyramids of the slabs the second batch wrote.
+    for half in points.chunks(20) {
+        post_events(&client, half);
+        server.service().wait_drained();
+        let (status, _) = client.get("/region?max_err=0.5").unwrap();
+        assert_eq!(status, 200);
+    }
+    let (points_after, voxels_after) = scatter_totals(&client);
     // A cached read so the cache family has traffic.
     let _ = client.get("/region").unwrap();
     let _ = client.get("/region").unwrap();
@@ -442,10 +467,27 @@ fn metrics_endpoint_covers_every_family_on_the_live_daemon() {
             "missing epoch gauge for shard {shard}"
         );
     }
-    // The ingest path scatters through kernel_apply, so the scatter
-    // family has real traffic too (the server builds core with `obs`).
-    assert!(value_of("stkde_scatter_points_total") >= 40.0);
-    assert!(value_of("stkde_scatter_voxels_written_total") > 0.0);
+    // The sharded writer's slab scatter records the scatter family (the
+    // server builds core with `obs`): every posted event is scattered
+    // into at least one slab.
+    assert!(
+        points_after - points_before >= points.len() as f64,
+        "scatter points grew by {} for {} posted events",
+        points_after - points_before,
+        points.len()
+    );
+    assert!(voxels_after > voxels_before);
+    let by_kind = |name: &str, kind: &str| -> f64 {
+        samples
+            .iter()
+            .filter(|s| s.name == name && s.label("kind") == Some(kind))
+            .map(|s| s.value)
+            .sum()
+    };
+    for kind in ["full", "incremental"] {
+        assert!(by_kind("stkde_approx_pyramid_builds_total", kind) >= 1.0);
+        assert!(by_kind("stkde_approx_pyramid_planes_total", kind) >= 1.0);
+    }
     // Families whose code paths this test does not drive still render
     // (zero-valued) thanks to the described catalog.
     for family in [
